@@ -7,10 +7,9 @@
 //! kinds exist:
 //!
 //! * the **prelude**, run once per evaluation — holds globally CSE'd atom
-//!   / equality loads and, in the optimized variant, every maximal *pure*
-//!   subformula hoisted out of fixpoint bodies (pure = mentions no
-//!   recursion variable), so loop-invariant work is paid once instead of
-//!   once per round;
+//!   / equality loads and every maximal *pure* subformula hoisted out of
+//!   fixpoint bodies (pure = mentions no recursion variable), so
+//!   loop-invariant work is paid once instead of once per round;
 //! * the **entry** block — the top-level formula;
 //! * one **body** block per fixpoint operator, re-run every round by the
 //!   loop opcodes.
@@ -32,25 +31,6 @@ use crate::EvalError;
 
 /// A register index (a slot holding one cylinder).
 pub(crate) type Reg = u32;
-
-/// Which lowering pipeline produced a [`Bytecode`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Variant {
-    /// Direct transliteration of the IR: no CSE, no hoisting, no fusion.
-    Basic,
-    /// CSE'd loads, loop-invariant hoisting, fused `AndNot`.
-    Optimized,
-}
-
-impl Variant {
-    /// The label used in listings and explain output.
-    pub fn label(self) -> &'static str {
-        match self {
-            Variant::Basic => "basic",
-            Variant::Optimized => "optimized",
-        }
-    }
-}
 
 /// One bytecode instruction.
 #[derive(Clone, Debug)]
@@ -105,8 +85,8 @@ pub(crate) struct FixCode {
     /// Run once per loop entry, before the first round: reads of
     /// *enclosing* recursion variables, which cannot move while this
     /// loop iterates (their own loops only advance between invocations
-    /// of this one). The optimized variant hoists them here so the
-    /// preimage gather is paid once per invocation, not once per round.
+    /// of this one). Hoisting them here pays the preimage gather once
+    /// per invocation, not once per round.
     pub setup: Vec<Op>,
     /// The body block, re-run every round.
     pub body: Vec<Op>,
@@ -124,7 +104,6 @@ pub(crate) struct FixCode {
 /// A lowered program: blocks, registers, and the interned side tables.
 #[derive(Clone, Debug)]
 pub(crate) struct Bytecode {
-    pub variant: Variant,
     /// Run once per evaluation: CSE'd loads and hoisted pure subtrees.
     pub prelude: Vec<Op>,
     /// The top-level block.
@@ -165,7 +144,6 @@ struct Lowerer<'a> {
     prog: &'a Program,
     db: &'a Database,
     k: usize,
-    variant: Variant,
     /// Per-node purity: no recursion-variable reads, no fixpoints below.
     pure: Vec<bool>,
     /// Per-node canonical structural key (CSE).
@@ -177,7 +155,7 @@ struct Lowerer<'a> {
     maps: Vec<Vec<CoordSource>>,
     fixes: Vec<Option<FixCode>>,
     /// Per-fixpoint setup blocks under construction (loop-invariant
-    /// recursion-variable reads land here in the optimized variant).
+    /// recursion-variable reads land here).
     fix_setups: Vec<Vec<Op>>,
     /// Fixpoints currently being lowered, innermost last.
     fix_stack: Vec<usize>,
@@ -192,19 +170,14 @@ struct Lowerer<'a> {
     to_prelude: bool,
 }
 
-/// Lowers a compiled program to bytecode.
-pub(crate) fn lower(
-    prog: &Program,
-    db: &Database,
-    k: usize,
-    variant: Variant,
-) -> Result<Bytecode, EvalError> {
+/// Lowers a compiled program to bytecode: CSE'd loads, loop-invariant
+/// hoisting, fused `AndNot`.
+pub(crate) fn lower(prog: &Program, db: &Database, k: usize) -> Result<Bytecode, EvalError> {
     let (pure, keys) = analyze(prog);
     let mut lw = Lowerer {
         prog,
         db,
         k,
-        variant,
         pure,
         keys,
         buf: Vec::new(),
@@ -225,7 +198,6 @@ pub(crate) fn lower(
     let mut entry = std::mem::take(&mut lw.buf);
     insert_drops(&mut entry, root.reg);
     let mut bc = Bytecode {
-        variant,
         prelude: std::mem::take(&mut lw.prelude),
         entry,
         result: root.reg,
@@ -327,10 +299,10 @@ impl<'a> Lowerer<'a> {
     }
 
     fn lower(&mut self, node: NodeRef) -> Result<Val, EvalError> {
-        // Optimized variant: pure leaves are always CSE'd into the
-        // prelude; pure composites are hoisted there when they sit inside
-        // a fixpoint body (loop-invariant code motion).
-        if self.variant == Variant::Optimized && self.pure[node as usize] {
+        // Pure leaves are always CSE'd into the prelude; pure composites
+        // are hoisted there when they sit inside a fixpoint body
+        // (loop-invariant code motion).
+        if self.pure[node as usize] {
             let leaf = matches!(self.node(node), Node::Atom { .. } | Node::Eq(..));
             if leaf || (!self.to_prelude && self.depth > 0) {
                 let reg = self.lower_pinned(node)?;
@@ -417,8 +389,8 @@ impl<'a> Lowerer<'a> {
                     let slot = self.intern_map(map);
                     // A read of an *enclosing* recursion variable is
                     // invariant across the current loop's rounds: hoist
-                    // it into the loop's setup block (optimized variant).
-                    if self.variant == Variant::Optimized && !self.to_prelude {
+                    // it into the loop's setup block.
+                    if !self.to_prelude {
                         if let Some(&cur) = self.fix_stack.last() {
                             if cur != fix {
                                 let key = (cur, self.keys[node as usize].clone());
@@ -464,28 +436,26 @@ impl<'a> Lowerer<'a> {
                 })
             }
             Node::And(a, b) => {
-                // Fuse φ ∧ ¬ψ into a one-pass AndNot (optimized variant).
-                if self.variant == Variant::Optimized {
-                    if let Node::Not(nb) = *self.node(b) {
-                        let va = self.lower(a)?;
-                        let dst = self.owned(va);
-                        let vb = self.lower(nb)?;
-                        self.emit(Op::AndNot { dst, src: vb.reg });
-                        return Ok(Val {
-                            reg: dst,
-                            owned: true,
-                        });
-                    }
-                    if let Node::Not(na) = *self.node(a) {
-                        let vb = self.lower(b)?;
-                        let dst = self.owned(vb);
-                        let va = self.lower(na)?;
-                        self.emit(Op::AndNot { dst, src: va.reg });
-                        return Ok(Val {
-                            reg: dst,
-                            owned: true,
-                        });
-                    }
+                // Fuse φ ∧ ¬ψ into a one-pass AndNot.
+                if let Node::Not(nb) = *self.node(b) {
+                    let va = self.lower(a)?;
+                    let dst = self.owned(va);
+                    let vb = self.lower(nb)?;
+                    self.emit(Op::AndNot { dst, src: vb.reg });
+                    return Ok(Val {
+                        reg: dst,
+                        owned: true,
+                    });
+                }
+                if let Node::Not(na) = *self.node(a) {
+                    let vb = self.lower(b)?;
+                    let dst = self.owned(vb);
+                    let va = self.lower(na)?;
+                    self.emit(Op::AndNot { dst, src: va.reg });
+                    return Ok(Val {
+                        reg: dst,
+                        owned: true,
+                    });
                 }
                 let va = self.lower(a)?;
                 let vb = self.lower(b)?;
@@ -771,8 +741,7 @@ pub(crate) fn listing(bc: &Bytecode) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        ";; bytecode ({}): {} ops, {} registers, {} atoms, {} fixpoints",
-        bc.variant.label(),
+        ";; bytecode: {} ops, {} registers, {} atoms, {} fixpoints",
         bc.op_count(),
         bc.nregs,
         bc.atoms.len(),

@@ -1,12 +1,12 @@
 //! The cost model choosing between the interpreted engine and the
-//! compiled plans.
+//! compiled plan.
 //!
 //! Costs are measured in abstract **passes**: one pass = one sweep over
 //! an `n^k`-bounded cylinder (the paper's unit of work — every operator
 //! of the bounded-variable algebra is O(n^k)). The interpreter pays ~2
 //! passes per formula node (the operator itself plus the statistics
 //! popcount its engine records per node), re-paid every fixpoint round
-//! for nodes inside a loop; the compiled plans pay 1 pass per emitted op,
+//! for nodes inside a loop; the compiled plan pays 1 pass per emitted op,
 //! with prelude ops (CSE'd loads, hoisted loop-invariant subtrees) paid
 //! once per evaluation regardless of round count.
 //!
@@ -15,10 +15,12 @@
 //! and re-plans on the next hit), else from the `n + 1` Kleene bound,
 //! capped — the *calibrated* flag in the report says which.
 
+use bvq_relation::BackendKind;
+
 use crate::ir::{Node, Program};
 
 use super::bytecode::{Bytecode, Op};
-use super::{CompileFeedback, PlanChoice, Variant};
+use super::{CompileFeedback, PlanChoice};
 
 /// Interpreter passes per formula node: the operator application plus
 /// the per-node cardinality count its statistics recorder performs.
@@ -35,8 +37,6 @@ const MAX_DEFAULT_ROUNDS: f64 = 48.0;
 /// The cost model's verdict, surfaced by `explain`.
 #[derive(Clone, Debug)]
 pub struct CostReport {
-    /// Backend the plan will run on: `"dense"` or `"sparse"`.
-    pub backend: &'static str,
     /// The width used for the pass unit: the *certified* minimum width
     /// from the hypergraph analysis, which bounds the achievable
     /// intermediate relations more tightly than the syntactic width.
@@ -50,10 +50,8 @@ pub struct CostReport {
     pub calibrated: bool,
     /// Estimated interpreter cost, in passes.
     pub interpreted: f64,
-    /// Estimated cost of the basic compiled plan, in passes.
-    pub basic: f64,
-    /// Estimated cost of the optimized compiled plan, in passes.
-    pub optimized: f64,
+    /// Estimated cost of the compiled plan, in passes.
+    pub compiled: f64,
     /// The engine the model chose.
     pub chosen: PlanChoice,
 }
@@ -63,14 +61,13 @@ impl CostReport {
     pub fn render_lines(&self) -> Vec<String> {
         vec![
             format!(
-                "cost: interpreted={:.0} compiled[basic]={:.0} compiled[optimized]={:.0} (n^k passes)",
-                self.interpreted, self.basic, self.optimized
+                "cost: interpreted={:.0} compiled={:.0} (n^k passes)",
+                self.interpreted, self.compiled
             ),
             format!(
-                "cost inputs: unit=n^k_min=n^{}={:.0} backend={} est_rounds={:.0} ({})",
+                "cost inputs: unit=n^k_min=n^{}={:.0} est_rounds={:.0} ({})",
                 self.k_min,
                 self.unit,
-                self.backend,
                 self.est_rounds,
                 if self.calibrated {
                     "calibrated from feedback"
@@ -126,17 +123,17 @@ fn compiled_passes(bc: &Bytecode, rounds: f64) -> f64 {
     block_passes(bc, &bc.prelude, rounds) + block_passes(bc, &bc.entry, rounds)
 }
 
-/// Builds the cost report and picks the engine. `k_min` is the
-/// certified minimum width from the hypergraph analysis (equal to the
-/// syntactic width when no certified rewrite exists): it, not the
-/// syntactic width, sets the `n^k` pass unit, because the certificate
-/// proves evaluation fits within `n^k_min` intermediate relations.
+/// Builds the cost report and picks the engine; a compiled choice runs
+/// on `backend`. `k_min` is the certified minimum width from the
+/// hypergraph analysis (equal to the syntactic width when no certified
+/// rewrite exists): it, not the syntactic width, sets the `n^k` pass
+/// unit, because the certificate proves evaluation fits within
+/// `n^k_min` intermediate relations.
 pub(crate) fn choose(
     prog: &Program,
-    basic: &Bytecode,
-    optimized: &Bytecode,
+    bc: &Bytecode,
     n: usize,
-    dense: bool,
+    backend: BackendKind,
     feedback: Option<&CompileFeedback>,
     k_min: usize,
 ) -> CostReport {
@@ -152,28 +149,19 @@ pub(crate) fn choose(
         _ => ((n as f64 + 1.0).min(MAX_DEFAULT_ROUNDS), false),
     };
     let interpreted = interp_passes(prog, prog.root, est_rounds);
-    let overhead = COMPILE_OVERHEAD_POINTS / unit;
-    let basic_cost = compiled_passes(basic, est_rounds) + overhead;
-    let optimized_cost = compiled_passes(optimized, est_rounds) + overhead;
-    let best_compiled = if optimized_cost <= basic_cost {
-        (optimized_cost, Variant::Optimized)
-    } else {
-        (basic_cost, Variant::Basic)
-    };
-    let chosen = if best_compiled.0 < interpreted * MARGIN {
-        PlanChoice::Compiled(best_compiled.1)
+    let compiled = compiled_passes(bc, est_rounds) + COMPILE_OVERHEAD_POINTS / unit;
+    let chosen = if compiled < interpreted * MARGIN {
+        PlanChoice::Compiled(backend)
     } else {
         PlanChoice::Interpreted
     };
     CostReport {
-        backend: if dense { "dense" } else { "sparse" },
         k_min: k,
         unit,
         est_rounds,
         calibrated,
         interpreted,
-        basic: basic_cost,
-        optimized: optimized_cost,
+        compiled,
         chosen,
     }
 }

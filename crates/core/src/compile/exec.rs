@@ -4,10 +4,11 @@
 //! exactly — same Kleene/Emerson–Lei rounds, same inflationary union,
 //! same Brent cycle detection for `PFP`, same between-round deadline
 //! checks — but with none of the interpreter's per-node costs: no arena
-//! clones, no per-node statistics popcounts, and (in the optimized
-//! variant) no per-round reloads of loop-invariant subformulas. The
-//! compiled-vs-interpreted fuzz oracle holds the two paths equal on
-//! every generated case.
+//! clones, no per-node statistics popcounts, and no per-round reloads
+//! of loop-invariant subformulas. The compiled-vs-interpreted fuzz
+//! oracle holds the two paths equal on every generated case. Like the
+//! interpreter, the machine records the footprint of every op result
+//! into [`EvalStats::peak_bytes`].
 
 use std::time::Instant;
 
@@ -50,6 +51,8 @@ struct Machine<'b, 'd, C: CylinderOps> {
     deadline: Option<Instant>,
     ops_applied: u64,
     rounds: u64,
+    /// Largest `size_bytes` of any op result.
+    peak_bytes: usize,
 }
 
 /// Runs the bytecode on the backend selected by `ctx` and projects the
@@ -73,6 +76,7 @@ pub(crate) fn run<C: CylinderOps>(
         deadline: cfg.deadline(),
         ops_applied: 0,
         rounds: 0,
+        peak_bytes: 0,
     };
     m.exec_block(&bc.prelude)?;
     m.exec_block(&bc.entry)?;
@@ -86,6 +90,7 @@ pub(crate) fn run<C: CylinderOps>(
     stats.total_tuples = count as u64;
     stats.operator_applications = m.ops_applied;
     stats.fixpoint_iterations = m.rounds;
+    stats.peak_bytes = m.peak_bytes;
     Ok(MachineResult {
         answer: result.to_relation(&m.ctx, coords),
         stats,
@@ -106,7 +111,10 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
             .expect("register read before definition")
     }
 
+    /// Stores an op result, recording its footprint as the interpreter
+    /// records every node result.
     fn set(&mut self, r: u32, v: C) {
+        self.peak_bytes = self.peak_bytes.max(v.size_bytes(&self.ctx));
         self.regs[r as usize] = Some(v);
     }
 

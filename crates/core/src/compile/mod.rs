@@ -10,16 +10,17 @@
 //! removes by lowering the IR once to straight-line register bytecode
 //! ([`bytecode`]) and running it on a dumb dispatch loop ([`exec`]).
 //!
-//! Two lowering variants are produced — a direct transliteration and an
-//! optimized pipeline (global CSE of loads, loop-invariant hoisting into
-//! a once-per-eval prelude, fused `∧¬` ops) — and a cost model
-//! ([`cost`]) picks between them and the interpreter, using observed
-//! round counts when the caller has feedback from earlier runs of the
-//! same plan (the server's plan LRU records them; see DESIGN.md §10).
+//! Each plan is lowered once — global CSE of loads, loop-invariant
+//! hoisting into a once-per-eval prelude, fused `∧¬` ops — and verified
+//! once (debug builds). A cost model ([`cost`]) then picks between the
+//! bytecode and the interpreter, using observed round counts when the
+//! caller has feedback from earlier runs of the same plan (the server's
+//! plan LRU records them; see DESIGN.md §10). The bytecode runs on the
+//! dense backend when `n^k` fits its budget, else on the sparse one.
 
 use bvq_logic::{FixKind, Query};
 use bvq_relation::backend::{DenseCylinder, SparseCylinder};
-use bvq_relation::{CylCtx, EvalConfig};
+use bvq_relation::{BackendKind, CylCtx, EvalConfig};
 
 use crate::fp::Evaluated;
 use crate::ir::{self, CompileOpts, Program};
@@ -34,7 +35,6 @@ mod exec;
 #[cfg_attr(not(debug_assertions), allow(dead_code))]
 mod verify;
 
-pub use bytecode::Variant;
 pub use cost::CostReport;
 
 /// Which engine the cost model selected.
@@ -43,17 +43,18 @@ pub enum PlanChoice {
     /// The AST-walking engines (`BoundedEvaluator` / `FpEvaluator` /
     /// `PfpEvaluator`).
     Interpreted,
-    /// The bytecode executor, running the given lowering variant.
-    Compiled(Variant),
+    /// The bytecode executor, running on the given backend (`Dense` or
+    /// `Sparse`).
+    Compiled(BackendKind),
 }
 
 impl PlanChoice {
     /// The label rendered by `explain` (`interpreted`,
-    /// `compiled (optimized)`, …).
+    /// `compiled (dense)`, `compiled (sparse)`).
     pub fn label(self) -> String {
         match self {
             PlanChoice::Interpreted => "interpreted".to_string(),
-            PlanChoice::Compiled(v) => format!("compiled ({})", v.label()),
+            PlanChoice::Compiled(backend) => format!("compiled ({backend})"),
         }
     }
 }
@@ -68,21 +69,22 @@ pub struct CompileFeedback {
     pub max_cardinality: usize,
 }
 
-/// A planned query: both compiled variants, the cost report, the static
-/// hypergraph analysis, and everything needed to run the chosen plan.
+/// A planned query: the bytecode and the backend it runs on, the cost
+/// report, the static hypergraph analysis, and everything needed to run
+/// the chosen plan.
 pub struct QueryPlan {
     prog: Program,
     coords: Vec<usize>,
     k: usize,
     naive: bool,
-    basic: bytecode::Bytecode,
-    optimized: bytecode::Bytecode,
+    bytecode: bytecode::Bytecode,
+    backend: BackendKind,
     cost: CostReport,
     analysis: bvq_analysis::QueryAnalysis,
 }
 
-/// Plans a query: compiles the IR, lowers both bytecode variants, and
-/// runs the cost model.
+/// Plans a query: compiles the IR, lowers it to bytecode once, and runs
+/// the cost model.
 ///
 /// `allow_pfp` mirrors the interpreted dispatch (the `FP` evaluator must
 /// not see partial fixpoints); `feedback` is the plan-LRU's observed
@@ -117,30 +119,27 @@ pub fn plan_query(
     if width > k.max(1) {
         return Err(EvalError::WidthExceeded { k, width });
     }
-    let basic = bytecode::lower(&prog, db, k.max(1), Variant::Basic)?;
-    let optimized = bytecode::lower(&prog, db, k.max(1), Variant::Optimized)?;
-    // Debug builds verify every lowering before anything can run it;
-    // the test suite additionally calls the verifier unconditionally.
+    let bytecode = bytecode::lower(&prog, db, k.max(1))?;
+    // Debug builds verify the lowering before anything can run it; the
+    // test suite additionally calls the verifier unconditionally.
     #[cfg(debug_assertions)]
-    for bc in [&basic, &optimized] {
-        if let Err(e) = verify::verify(bc, db, k.max(1)) {
-            panic!(
-                "bytecode verifier rejected the {} lowering of `{q}`: {e}",
-                bc.variant.label()
-            );
-        }
+    if let Err(e) = verify::verify(&bytecode, db, k.max(1)) {
+        panic!("bytecode verifier rejected the lowering of `{q}`: {e}");
     }
-    let dense = CylCtx::new(db.domain_size(), k.max(1)).dense_feasible();
+    let backend = if CylCtx::new(db.domain_size(), k.max(1)).dense_feasible() {
+        BackendKind::Dense
+    } else {
+        BackendKind::Sparse
+    };
     // The certified minimum width bounds the *achievable* intermediate
     // relations (the rewrite proves evaluation fits in n^k_min), so the
     // cost model's pass unit uses k_min, not the syntactic width.
     let analysis = bvq_analysis::analyze_query(q);
     let cost = cost::choose(
         &prog,
-        &basic,
-        &optimized,
+        &bytecode,
         db.domain_size(),
-        dense,
+        backend,
         feedback,
         analysis.k_min.min(width),
     );
@@ -156,8 +155,8 @@ pub fn plan_query(
         k: k.max(1),
         naive,
         prog,
-        basic,
-        optimized,
+        bytecode,
+        backend,
         cost,
         analysis,
     })
@@ -180,22 +179,15 @@ impl QueryPlan {
         &self.analysis
     }
 
-    /// The variant `eval_compiled` will run: the chosen one, else the
-    /// cheaper compiled candidate (when the caller forces compilation).
-    pub fn compiled_variant(&self) -> Variant {
-        match self.cost.chosen {
-            PlanChoice::Compiled(v) => v,
-            PlanChoice::Interpreted if self.cost.optimized <= self.cost.basic => Variant::Optimized,
-            PlanChoice::Interpreted => Variant::Basic,
-        }
+    /// The backend [`QueryPlan::eval_compiled`] runs on, whether or not
+    /// the cost model chose the compiled plan.
+    pub fn backend(&self) -> BackendKind {
+        self.backend
     }
 
-    /// The bytecode listing of [`QueryPlan::compiled_variant`].
+    /// The bytecode listing.
     pub fn listing(&self) -> String {
-        bytecode::listing(match self.compiled_variant() {
-            Variant::Basic => &self.basic,
-            Variant::Optimized => &self.optimized,
-        })
+        bytecode::listing(&self.bytecode)
     }
 
     /// Number of fixpoint operators in the plan.
@@ -203,40 +195,24 @@ impl QueryPlan {
         self.prog.fixes.len()
     }
 
-    /// Runs the compiled plan ([`QueryPlan::compiled_variant`]) on the
-    /// backend the domain size selects, honoring threads and deadline
-    /// from `cfg`. Tracing is not supported here — traced requests take
-    /// the interpreted path, whose span tree mirrors the formula.
+    /// Runs the bytecode on [`QueryPlan::backend`], honoring threads and
+    /// deadline from `cfg`. Tracing is not supported here — traced
+    /// requests take the interpreted path, whose span tree mirrors the
+    /// formula.
     pub fn eval_compiled(&self, db: &Database, cfg: &EvalConfig) -> Result<Evaluated, EvalError> {
-        let bc = match self.compiled_variant() {
-            Variant::Basic => &self.basic,
-            Variant::Optimized => &self.optimized,
-        };
+        let bc = &self.bytecode;
         let ctx = CylCtx::new(db.domain_size(), self.k).with_threads(cfg.threads());
-        let result = if ctx.dense_feasible() {
-            exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords)?
-        } else {
-            exec::run::<SparseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords)?
+        let result = match self.backend {
+            BackendKind::Dense => {
+                exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords)?
+            }
+            _ => exec::run::<SparseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords)?,
         };
         Ok(Evaluated {
             answer: result.answer,
             stats: result.stats,
             trace: None,
         })
-    }
-
-    /// Decides `t ∈ Q(B)` on the compiled path.
-    pub fn check_compiled(
-        &self,
-        db: &Database,
-        cfg: &EvalConfig,
-        t: &[u32],
-    ) -> Result<bool, EvalError> {
-        if t.len() != self.coords.len() {
-            return Ok(false);
-        }
-        let ev = self.eval_compiled(db, cfg)?;
-        Ok(ev.answer.contains(t))
     }
 }
 
@@ -346,8 +322,7 @@ mod tests {
     #[test]
     fn optimized_variant_hoists_and_fuses() {
         let db = path_db(6);
-        // The body re-reads E every round; the optimized variant hoists
-        // the load into the prelude, and `& !P(x1)` fuses to and-not.
+        // The body re-reads E every round; the lowering hoists the load into the prelude, and `& !P(x1)` fuses to and-not.
         let q = parse_query(
             "(x1) ([lfp S(x1). (x1 = 0 | exists x2. (S(x2) & E(x2,x1)))](x1) & ~P(x1))",
         )

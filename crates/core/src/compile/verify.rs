@@ -19,9 +19,8 @@
 //!   checks the deadline once per body execution, so a loop that
 //!   executed no ops would also never reach a checkpoint.
 //!
-//! The verifier runs on both lowering variants under
-//! `debug_assertions` in [`super::plan_query`] and unconditionally in
-//! the test suite.
+//! The verifier runs on every lowering under `debug_assertions` in
+//! [`super::plan_query`] and unconditionally in the test suite.
 
 use bvq_relation::CoordSource;
 use bvq_relation::Database;
@@ -257,7 +256,7 @@ fn check_block(
 
 #[cfg(test)]
 mod tests {
-    use super::super::bytecode::{self, Variant};
+    use super::super::bytecode;
     use super::*;
     use crate::ir::{self, CompileOpts};
     use bvq_logic::parser::parse_query;
@@ -272,7 +271,7 @@ mod tests {
             .build()
     }
 
-    fn lower_both(q: &Query, k: usize) -> Vec<Bytecode> {
+    fn lower(q: &Query, k: usize) -> Bytecode {
         let db = db();
         let prog = ir::compile(
             &q.formula,
@@ -285,10 +284,7 @@ mod tests {
             },
         )
         .expect("compile");
-        vec![
-            bytecode::lower(&prog, &db, k, Variant::Basic).expect("basic"),
-            bytecode::lower(&prog, &db, k, Variant::Optimized).expect("optimized"),
-        ]
+        bytecode::lower(&prog, &db, k).expect("lower")
     }
 
     /// The verifier accepts every lowering of a representative corpus —
@@ -312,17 +308,15 @@ mod tests {
             (Query::new(vec![Var(0)], patterns::pfp_parity_flip()), 2),
         ];
         for (q, k) in &corpus {
-            for bc in lower_both(q, *k) {
-                verify(&bc, &db(), *k)
-                    .unwrap_or_else(|e| panic!("verifier rejected `{q}` ({:?}): {e}", bc.variant));
-            }
+            verify(&lower(q, *k), &db(), *k)
+                .unwrap_or_else(|e| panic!("verifier rejected `{q}`: {e}"));
         }
     }
 
     #[test]
     fn verifier_rejects_corrupted_bytecode() {
         let q = parse_query("(x1) exists x2. (E(x1,x2) & P(x2))").unwrap();
-        let base = lower_both(&q, 2).remove(1);
+        let base = lower(&q, 2);
 
         // Out-of-bounds register.
         let mut bad = base.clone();
@@ -375,7 +369,7 @@ mod tests {
     #[test]
     fn verifier_requires_nonempty_fixpoint_bodies() {
         let q = Query::new(vec![Var(0)], patterns::reach_from_const(0));
-        let mut bc = lower_both(&q, 2).remove(0);
+        let mut bc = lower(&q, 2);
         bc.fixes[0].body.clear();
         let err = verify(&bc, &db(), 2).unwrap_err();
         assert!(err.contains("deadline checkpoint"), "{err}");

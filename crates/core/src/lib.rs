@@ -37,9 +37,7 @@ pub use bvq_relation::{BackendKind, BackendMode, ChoiceHints};
 pub use cert::{AppCert, Certificate, CertifiedChecker, LfpStep, VerifyOutcome};
 pub use cert_trace::{TraceCertificate, TraceChecker, TraceEvent};
 pub use certgen::certify_eso;
-pub use compile::{
-    feedback_from, plan_query, CompileFeedback, CostReport, PlanChoice, QueryPlan, Variant,
-};
+pub use compile::{feedback_from, plan_query, CompileFeedback, CostReport, PlanChoice, QueryPlan};
 pub use env::RelEnv;
 pub use eso::{reduce_arity, EsoEvaluator, GroundingInfo};
 pub use fo::{BoundedEvaluator, NaiveEvaluator};

@@ -16,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod ast;
-pub mod compile;
 pub mod delta;
 pub mod eval;
 pub mod parser;
@@ -24,7 +23,6 @@ pub mod record;
 pub mod translate;
 
 pub use ast::{AtomTerm, BodyAtom, DatalogError, Head, Program, Rule};
-pub use compile::{compile_program, eval_compiled, eval_compiled_with, CompiledRules};
 pub use delta::{normalise_atom, project_head, rule_bindings, Bindings, RelSource};
 pub use eval::{eval_naive, eval_naive_with, eval_seminaive, eval_seminaive_with, EvalOutput};
 pub use parser::{parse_program, parse_program_spanned};

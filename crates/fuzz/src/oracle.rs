@@ -284,7 +284,6 @@ pub fn oracles(lang: Lang, with_server: bool) -> Vec<&'static str> {
         Lang::Datalog => names.extend([
             "datalog-naive-vs-seminaive",
             "datalog-vs-fp-translation",
-            "compiled-vs-interpreted",
             "bdd-vs-dense",
             "bdd-vs-sparse",
             "threads-1-vs-n",

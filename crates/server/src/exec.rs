@@ -183,6 +183,7 @@ pub struct EvalOptions {
     /// rounds once it passes.
     pub deadline: Option<Instant>,
     /// Bytecode compilation: cost-based (`Auto`), forced, or disabled.
+    /// FO/FP/PFP only — Datalog rejects any mode but `Auto`.
     pub compile: CompileMode,
     /// Cylinder backend: cost-based (`Auto`) or forced to one of
     /// `dense`/`sparse`/`bdd` (see [`bvq_relation::backend`]). Forced
@@ -587,6 +588,12 @@ pub fn prepare_request(req: &ExecRequest) -> Result<Prepared, RunError> {
             }))
         }
         ExecKind::Datalog { program, .. } => {
+            if req.opts.compile != CompileMode::Auto {
+                return Err(RunError::InvalidOption(
+                    "--compile applies to FO/FP/PFP requests only; Datalog always runs seminaive"
+                        .into(),
+                ));
+            }
             if req.opts.naive && req.opts.backend != BackendMode::Auto {
                 return Err(RunError::InvalidOption(
                     "--backend applies to the cylindrical evaluators; it cannot be combined with --naive"
@@ -694,12 +701,8 @@ fn execute_plain(
             }
             let out = if req.opts.naive {
                 eval_naive_with(&plan.program, db, &cfg)?
-            } else if req.trace || req.opts.compile == CompileMode::Off {
-                // Rule kernels carry no span tracing; traced requests
-                // keep the interpreter's round-by-round span tree.
-                eval_seminaive_with(&plan.program, db, &cfg)?
             } else {
-                bvq_datalog::eval_compiled_with(&plan.program, db, &cfg)?
+                eval_seminaive_with(&plan.program, db, &cfg)?
             };
             let rel = out
                 .get(output)
@@ -1290,8 +1293,8 @@ pub struct ExplainReport {
     /// The plan/result cache key for this request.
     pub cache_key: String,
     /// The execution engine a (non-traced) run of this request would
-    /// use: `interpreted`, `compiled (basic|optimized)`, `naive`, or
-    /// `compiled (rule kernels)` for Datalog.
+    /// use: `interpreted`, `compiled (dense|sparse)`, `naive`, or
+    /// `seminaive` for Datalog.
     pub engine: String,
     /// The cost model's report lines (queries only; empty otherwise).
     pub cost: Vec<String>,
@@ -1436,7 +1439,9 @@ fn explain_engine(
 ) -> (String, Vec<String>, Option<String>) {
     let interpreted = (String::from("interpreted"), Vec::new(), None);
     match prepared {
-        Prepared::Query(_) if req.opts.naive => (String::from("naive"), Vec::new(), None),
+        Prepared::Query(_) | Prepared::Datalog(_) if req.opts.naive => {
+            (String::from("naive"), Vec::new(), None)
+        }
         Prepared::Query(_) | Prepared::Datalog(_) if req.opts.backend.forced().is_some() => {
             // Forced backends pin the interpreted dispatch (see
             // `try_compiled_query`); Datalog routes via the FP
@@ -1448,7 +1453,7 @@ fn explain_engine(
             match plan_query(db, &p.query, p.k, allow_pfp, p.feedback.get().as_ref()) {
                 Ok(qp) => {
                     let choice = if req.opts.compile == CompileMode::On {
-                        PlanChoice::Compiled(qp.compiled_variant())
+                        PlanChoice::Compiled(qp.backend())
                     } else {
                         qp.choice()
                     };
@@ -1457,9 +1462,7 @@ fn explain_engine(
                 Err(_) => interpreted,
             }
         }
-        Prepared::Datalog(_) if !req.opts.naive && req.opts.compile != CompileMode::Off => {
-            (String::from("compiled (rule kernels)"), Vec::new(), None)
-        }
+        Prepared::Datalog(_) => (String::from("seminaive"), Vec::new(), None),
         _ => interpreted,
     }
 }
@@ -1915,11 +1918,67 @@ mod tests {
         assert!(on.cache_key().contains("compile=on|"));
         assert!(off.cache_key().contains("compile=off|"));
         assert_ne!(on.cache_key(), off.cache_key());
-        // Datalog compiled kernels agree with the interpreter too.
+    }
+
+    #[test]
+    fn compile_on_datalog_is_an_invalid_option() {
+        let db = db();
         let d = ExecRequest::datalog("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).", "T");
-        let mut d_off = d.clone();
-        d_off.opts.compile = CompileMode::Off;
-        assert_eq!(rows(&d), rows(&d_off));
+        assert!(execute(&db, &d).is_ok());
+        for mode in [CompileMode::On, CompileMode::Off] {
+            let mut forced = d.clone();
+            forced.opts.compile = mode;
+            assert_eq!(execute(&db, &forced).unwrap_err().code(), "invalid_option");
+            assert_eq!(
+                explain(&db, &forced, false).unwrap_err().code(),
+                "invalid_option"
+            );
+        }
+    }
+
+    #[test]
+    fn traced_datalog_runs_the_engine_it_reports() {
+        let db = db();
+        let tc = ExecRequest::datalog("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).", "T");
+        let plain = execute(&db, &tc).unwrap();
+        let traced = execute(&db, &tc.clone().with_trace(true)).unwrap();
+        assert!(plain.trace.is_none());
+        assert!(traced.trace.is_some());
+        let rows = |out: &ExecOutcome| match &out.answer {
+            Answer::Rows(r) => r.sorted(),
+            other => panic!("expected rows, got {other:?}"),
+        };
+        assert_eq!(rows(&plain), rows(&traced));
+        assert_eq!(
+            plain.stats.fixpoint_iterations,
+            traced.stats.fixpoint_iterations
+        );
+        assert_eq!(plain.stats.total_tuples, traced.stats.total_tuples);
+        assert_eq!(
+            plain.stats.operator_applications,
+            traced.stats.operator_applications
+        );
+        assert_eq!(explain(&db, &tc, false).unwrap().engine, "seminaive");
+    }
+
+    #[test]
+    fn compiled_and_interpreted_report_the_same_peak_bytes() {
+        // 64 nodes at k = 2: dense, and large enough that the cost model
+        // compiles by default.
+        let mut text = String::from("domain 64\nrel E/2\n");
+        for i in 0..63 {
+            text.push_str(&format!("{i} {}\n", i + 1));
+        }
+        text.push_str("end\nrel P/1\n3\n7\nend");
+        let db = parse_database(&text).unwrap();
+        let q = ExecRequest::query("(x1) forall x2. (E(x1,x2) -> P(x2))");
+        assert_eq!(explain(&db, &q, false).unwrap().engine, "compiled (dense)");
+        let mut off = q.clone();
+        off.opts.compile = CompileMode::Off;
+        let compiled = execute(&db, &q).unwrap().stats.peak_bytes;
+        let interpreted = execute(&db, &off).unwrap().stats.peak_bytes;
+        assert!(compiled > 0);
+        assert_eq!(compiled, interpreted);
     }
 
     #[test]
@@ -1984,13 +2043,13 @@ mod tests {
         assert!(report.engine.starts_with("compiled ("), "{}", report.engine);
         // Datalog and naive requests label their engines too.
         let d = ExecRequest::datalog("T(x,y) :- E(x,y).", "T");
-        assert_eq!(
-            explain(&db, &d, false).unwrap().engine,
-            "compiled (rule kernels)"
-        );
+        assert_eq!(explain(&db, &d, false).unwrap().engine, "seminaive");
         let mut naive = req.clone();
         naive.opts.naive = true;
         assert_eq!(explain(&db, &naive, false).unwrap().engine, "naive");
+        let mut naive_d = d.clone();
+        naive_d.opts.naive = true;
+        assert_eq!(explain(&db, &naive_d, false).unwrap().engine, "naive");
     }
 
     #[test]

@@ -1,21 +1,17 @@
-//! Compiled-vs-interpreted integration: the bytecode executor and the
-//! Datalog rule kernels must agree with the AST-walking engines on a
-//! seeded generator corpus across all four languages, honor deadlines
-//! and thread counts, surface their listings through `explain`, and the
-//! bench regression gate must actually fail on an injected slowdown.
+//! Compiled-vs-interpreted integration: the bytecode executor must agree
+//! with the AST-walking engines on a seeded FO/FP/PFP generator corpus,
+//! honor deadlines and thread counts, surface its listing through
+//! `explain`, and the bench regression gate must actually fail on an
+//! injected slowdown.
 
 use bvq_cli::{gate, BENCH_SCHEMA};
-use bvq_fuzz::{gen_case, CaseKind, Lang};
+use bvq_fuzz::{gen_case, Lang};
 use bvq_prng::Rng;
 use bvq_server::exec::{execute, explain, Answer, CompileMode, EvalOptions, ExecRequest};
 use bvq_server::{Json, RunError};
 
-fn base_request(kind: &CaseKind) -> ExecRequest {
-    match kind {
-        CaseKind::Query(q) => ExecRequest::query(q.to_string()),
-        CaseKind::Datalog(p, out) => ExecRequest::datalog(p.to_text(), out.clone()),
-    }
-}
+/// The languages the bytecode compiler serves; Datalog has one engine.
+const COMPILED_LANGS: [Lang; 3] = [Lang::Fo, Lang::Fp, Lang::Pfp];
 
 fn with_mode(req: &ExecRequest, mode: CompileMode) -> ExecRequest {
     req.clone().with_opts(EvalOptions {
@@ -38,13 +34,13 @@ fn norm(db: &bvq_relation::Database, req: &ExecRequest) -> Result<String, String
 
 #[test]
 fn compiled_agrees_with_interpreted_across_generator_corpus() {
-    // ≥ 200 cases: 55 seeds × 4 languages.
-    let per_lang = 55u64;
+    // ≥ 200 cases: 67 seeds × 3 languages.
+    let per_lang = 67u64;
     let mut checked = 0u64;
-    for lang in Lang::all() {
+    for lang in COMPILED_LANGS {
         for i in 0..per_lang {
             let case = gen_case(&mut Rng::seed_from_u64(0xC0_55 + i), lang);
-            let req = base_request(&case.kind);
+            let req = ExecRequest::query(case.text());
             let off = norm(&case.db, &with_mode(&req, CompileMode::Off));
             let on = norm(&case.db, &with_mode(&req, CompileMode::On));
             assert_eq!(off, on, "{lang} seed {i} diverged\ncase: {}", case.text());
@@ -67,7 +63,7 @@ fn compiled_deadline_aborts_inside_fixpoint_loops() {
     let err = execute(&db, &req).unwrap_err();
     assert_eq!(err.code(), "deadline_exceeded");
     assert!(matches!(err, RunError::Eval(_)));
-    // Datalog kernels abort between rounds too.
+    // The seminaive Datalog engine aborts between rounds too.
     let mut req = ExecRequest::datalog("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).", "T");
     req.opts.deadline = Some(std::time::Instant::now());
     let err = execute(&db, &req).unwrap_err();
@@ -76,10 +72,10 @@ fn compiled_deadline_aborts_inside_fixpoint_loops() {
 
 #[test]
 fn compiled_executor_is_thread_count_independent() {
-    for lang in Lang::all() {
+    for lang in COMPILED_LANGS {
         for i in 0..10u64 {
             let case = gen_case(&mut Rng::seed_from_u64(0x7EAD + i), lang);
-            let req = base_request(&case.kind);
+            let req = ExecRequest::query(case.text());
             let mut one = with_mode(&req, CompileMode::On);
             one.opts.threads = Some(1);
             let mut many = with_mode(&req, CompileMode::On);
